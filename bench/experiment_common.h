@@ -194,6 +194,41 @@ class PerfReporter {
   PerfJsonWriter writer_;
 };
 
+/// Exit-status gate of a figure bench: records every claim of the figure
+/// that fails, reports it on stderr (stdout stays the figure's table), and
+/// turns it into main's return value.
+class Gate {
+ public:
+  void Check(bool ok, const std::string& claim) {
+    if (ok) return;
+    std::fprintf(stderr, "GATE FAILED: %s\n", claim.c_str());
+    failed_ = true;
+  }
+
+  /// Every cell must pass the serializability checker with all of its
+  /// client threads finished.
+  void CheckRun(const std::string& label, const workload::RunStats& stats) {
+    Check(stats.check.ok, label + ": serializability checker failed");
+    Check(stats.all_threads_finished,
+          label + ": not every client thread finished");
+  }
+
+  /// Paxos-CP must commit at least as many transactions as basic Paxos on
+  /// the same cell.
+  void CheckCpNotBelowBasic(const std::string& label,
+                            const workload::RunStats& basic,
+                            const workload::RunStats& cp) {
+    Check(cp.committed >= basic.committed,
+          label + ": Paxos-CP committed " + std::to_string(cp.committed) +
+              " < basic " + std::to_string(basic.committed));
+  }
+
+  int ExitCode() const { return failed_ ? 1 : 0; }
+
+ private:
+  bool failed_ = false;
+};
+
 /// The paper's standard experiment configuration.
 inline workload::RunnerConfig PaperWorkload(txn::Protocol protocol,
                                             uint64_t seed = 7) {

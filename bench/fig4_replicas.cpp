@@ -18,17 +18,22 @@ int main(int argc, char** argv) {
       "basic ~284-292/500 flat; CP ~434-445/500 flat; latency grows mildly "
       "with replicas; promotion rounds stack latency");
 
+  bench::Gate gate;
   std::vector<std::vector<std::string>> rows;
   for (const std::string code : {"VV", "VVV", "VVVO", "VVVOC"}) {
+    std::vector<workload::RunStats> pair;
     for (txn::Protocol protocol :
          {txn::Protocol::kBasicPaxos, txn::Protocol::kPaxosCP}) {
       workload::RunnerConfig config = bench::PaperWorkload(protocol);
+      const std::string label = code + "/" + txn::ProtocolName(protocol);
       workload::RunStats stats =
-          perf.Run(code + "/" + txn::ProtocolName(protocol),
-                   bench::PaperCluster(code), config);
+          perf.Run(label, bench::PaperCluster(code), config);
+      gate.CheckRun(label, stats);
       rows.push_back(bench::ResultRow(
           std::to_string(code.size()) + " (" + code + ")", protocol, stats));
+      pair.push_back(std::move(stats));
     }
+    gate.CheckCpNotBelowBasic(code, pair[0], pair[1]);
   }
   workload::PrintTable(bench::ResultHeaders("replicas"), rows);
 
@@ -40,11 +45,12 @@ int main(int argc, char** argv) {
         bench::PaperWorkload(txn::Protocol::kPaxosCP);
     workload::RunStats stats =
         perf.Run(code + "/cp-latency", bench::PaperCluster(code), config);
+    gate.CheckRun(code + "/cp-latency", stats);
     latency_rows.push_back(
         {code, workload::LatencyByRound(stats, 6),
          workload::CommitsByRound(stats)});
   }
   workload::PrintTable({"cluster", "latency r0/r1/r2/...", "commits by round"},
                        latency_rows);
-  return 0;
+  return gate.ExitCode();
 }

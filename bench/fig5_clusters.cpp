@@ -18,18 +18,23 @@ int main(int argc, char** argv) {
       "V-only clusters much faster; CP improvement roughly constant across "
       "combinations");
 
+  bench::Gate gate;
   std::vector<std::vector<std::string>> rows;
   for (const std::string code :
        {"VV", "OV", "VVV", "COV", "VVVO", "COVVV"}) {
+    std::vector<workload::RunStats> pair;
     for (txn::Protocol protocol :
          {txn::Protocol::kBasicPaxos, txn::Protocol::kPaxosCP}) {
       workload::RunnerConfig config = bench::PaperWorkload(protocol);
+      const std::string label = code + "/" + txn::ProtocolName(protocol);
       workload::RunStats stats =
-          perf.Run(code + "/" + txn::ProtocolName(protocol),
-                   bench::PaperCluster(code), config);
+          perf.Run(label, bench::PaperCluster(code), config);
+      gate.CheckRun(label, stats);
       rows.push_back(bench::ResultRow(code, protocol, stats));
+      pair.push_back(std::move(stats));
     }
+    gate.CheckCpNotBelowBasic(code, pair[0], pair[1]);
   }
   workload::PrintTable(bench::ResultHeaders("cluster"), rows);
-  return 0;
+  return gate.ExitCode();
 }

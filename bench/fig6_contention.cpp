@@ -17,20 +17,30 @@ int main(int argc, char** argv) {
       "Figure 6 - commits vs data contention (VVV, 500 txns)",
       "basic flat ~290/500; CP 370/500 @20 attrs -> 494/500 @500 attrs");
 
+  bench::Gate gate;
   std::vector<std::vector<std::string>> rows;
+  int previous_cp_commits = 0;
   for (int attributes : {20, 50, 100, 200, 500}) {
+    const std::string cell = std::to_string(attributes) + " attrs";
+    std::vector<workload::RunStats> pair;
     for (txn::Protocol protocol :
          {txn::Protocol::kBasicPaxos, txn::Protocol::kPaxosCP}) {
       workload::RunnerConfig config = bench::PaperWorkload(protocol);
       config.workload.num_attributes = attributes;
+      const std::string label =
+          std::to_string(attributes) + "attrs/" + txn::ProtocolName(protocol);
       workload::RunStats stats =
-          perf.Run(std::to_string(attributes) + "attrs/" +
-                       txn::ProtocolName(protocol),
-                   bench::PaperCluster("VVV"), config);
-      rows.push_back(bench::ResultRow(std::to_string(attributes) + " attrs",
-                                      protocol, stats));
+          perf.Run(label, bench::PaperCluster("VVV"), config);
+      gate.CheckRun(label, stats);
+      rows.push_back(bench::ResultRow(cell, protocol, stats));
+      pair.push_back(std::move(stats));
     }
+    gate.CheckCpNotBelowBasic(cell, pair[0], pair[1]);
+    // Less contention leaves promotion fewer conflicts to abort on.
+    gate.Check(pair[1].committed >= previous_cp_commits,
+               cell + ": Paxos-CP commits fell as attributes grew");
+    previous_cp_commits = pair[1].committed;
   }
   workload::PrintTable(bench::ResultHeaders("contention"), rows);
-  return 0;
+  return gate.ExitCode();
 }

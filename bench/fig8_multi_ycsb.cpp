@@ -20,6 +20,9 @@ int main(int argc, char** argv) {
       "per DC; CP latency ~+100% all rounds, ~+50% first round");
 
   const char* kDcNames[] = {"V", "O", "C"};
+  // The per-datacenter order is a known fidelity gap (ROADMAP.md), so
+  // only the checker and thread completion are gated here.
+  bench::Gate gate;
   std::vector<std::vector<std::string>> rows;
   for (txn::Protocol protocol :
        {txn::Protocol::kBasicPaxos, txn::Protocol::kPaxosCP}) {
@@ -30,9 +33,11 @@ int main(int argc, char** argv) {
     config.num_threads = 12;
     config.target_rate_tps = 0.25;
     config.thread_dcs = {0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2};
+    const std::string label =
+        std::string("VOC/") + txn::ProtocolName(protocol);
     workload::RunStats stats =
-        perf.Run(std::string("VOC/") + txn::ProtocolName(protocol),
-                 bench::PaperCluster("VOC"), config);
+        perf.Run(label, bench::PaperCluster("VOC"), config);
+    gate.CheckRun(label, stats);
 
     for (DcId dc = 0; dc < 3; ++dc) {
       const int attempted = stats.attempted_by_dc.count(dc)
@@ -56,5 +61,5 @@ int main(int argc, char** argv) {
   workload::PrintTable({"datacenter", "protocol", "commits/attempted",
                         "mean latency", "total by-round", "serializability"},
                        rows);
-  return 0;
+  return gate.ExitCode();
 }

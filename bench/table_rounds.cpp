@@ -24,20 +24,23 @@ int main(int argc, char** argv) {
   int total_combined_entries = 0, total_combined_txns = 0;
   int max_promotions = 0;
   double basic_msgs = 0, cp_msgs = 0;
+  bench::Gate gate;
 
   for (int run = 0; run < kRuns; ++run) {
     workload::RunnerConfig basic =
         bench::PaperWorkload(txn::Protocol::kBasicPaxos, 100 + run);
-    workload::RunStats basic_stats = perf.Run(
-        "run" + std::to_string(run) + "/basic",
-        bench::PaperCluster("VVV", 200 + run), basic);
+    const std::string basic_label = "run" + std::to_string(run) + "/basic";
+    workload::RunStats basic_stats =
+        perf.Run(basic_label, bench::PaperCluster("VVV", 200 + run), basic);
+    gate.CheckRun(basic_label, basic_stats);
     basic_msgs += basic_stats.messages_per_attempt;
 
     workload::RunnerConfig cp =
         bench::PaperWorkload(txn::Protocol::kPaxosCP, 100 + run);
-    workload::RunStats stats = perf.Run(
-        "run" + std::to_string(run) + "/cp",
-        bench::PaperCluster("VVV", 200 + run), cp);
+    const std::string cp_label = "run" + std::to_string(run) + "/cp";
+    workload::RunStats stats =
+        perf.Run(cp_label, bench::PaperCluster("VVV", 200 + run), cp);
+    gate.CheckRun(cp_label, stats);
     cp_msgs += stats.messages_per_attempt;
     total_combined_entries += stats.combined_entries;
     total_combined_txns += stats.combined_txns;
@@ -73,5 +76,5 @@ int main(int argc, char** argv) {
               "(+%.0f%%)\n",
               basic_msgs / kRuns, cp_msgs / kRuns,
               100.0 * (cp_msgs - basic_msgs) / basic_msgs);
-  return 0;
+  return gate.ExitCode();
 }

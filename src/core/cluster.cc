@@ -49,7 +49,7 @@ void Cluster::RestartService(DcId dc) {
       NextSeed());
   txn::TransactionService* service = services_[dc].get();
   network_->RegisterEndpoint(
-      dc, [service](DcId from, const std::any* request) {
+      dc, [service](DcId from, const txn::ServiceRequest* request) {
         return service->Handle(from, request);
       });
   for (const std::string& group : known_groups) service->GroupLog(group);

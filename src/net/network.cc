@@ -3,41 +3,26 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/logging.h"
 #include "sim/race_hooks.h"
 
 namespace paxoscp::net {
 
 namespace {
 
-/// Everything a handler invocation needs, heap-owned so the coroutine only
-/// carries a trivially-destructible pointer parameter (GCC 12 miscompiles
-/// frame copies of std::any / std::variant parameters; see sim/coro.h).
-struct HandlerContext {
-  ServiceHandler handler;
-  DcId from = kNoDc;
-  std::any request;
-  std::function<void(std::any)> done;
-};
-
-/// Glue: runs a handler coroutine to completion, then hands the response to
-/// `done`. Task is eager, so calling this starts the handler immediately.
-/// Takes ownership of `raw_context`.
-sim::Task RunHandler(HandlerContext* raw_context) {
-  std::unique_ptr<HandlerContext> context(raw_context);
-  std::any response =
-      co_await context->handler(context->from, &context->request);
-  context->done(std::move(response));
-}
-
 struct BroadcastAggregator {
   std::vector<TargetResult> results;
-  int resolved = 0;
-  int successes = 0;
-  bool grace_scheduled = false;
+  size_t resolved = 0;
 };
 
 }  // namespace
+
+struct Network::Delivery {
+  DcId from;
+  DcId to;
+  bool duplicate;
+  std::shared_ptr<const ServiceRequest> request;
+  sim::Promise<CallResult> promise;
+};
 
 Network::Network(sim::Simulator* sim,
                  std::vector<std::vector<TimeMicros>> rtt_matrix,
@@ -67,7 +52,7 @@ void Network::RegisterEndpoint(DcId dc, ServiceHandler handler) {
   handlers_[dc] = std::move(handler);
 }
 
-TimeMicros Network::SampleDelayFrom(Rng* rng, DcId from, DcId to) {
+TimeMicros Network::SampleDelay(Rng* rng, DcId from, DcId to) {
   const TimeMicros one_way = rtt_[from][to] / 2;
   if (options_.latency_jitter <= 0 || one_way == 0) {
     return std::max<TimeMicros>(one_way, 1);
@@ -84,7 +69,7 @@ TimeMicros Network::SampleDelayFrom(Rng* rng, DcId from, DcId to) {
   return std::max<TimeMicros>(delayed, 1);
 }
 
-bool Network::ShouldDropFrom(Rng* rng, DcId from, DcId to) {
+bool Network::ShouldDrop(Rng* rng, DcId from, DcId to) {
   if (sim::race::Active()) {
     sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", from});
     sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
@@ -117,9 +102,9 @@ TimeMicros Network::MaybeReorderExtra(DcId from, DcId to) {
                  fault_rng_.Uniform(static_cast<uint64_t>(max_extra)));
 }
 
-sim::Future<CallResult> Network::Call(DcId from, DcId to,
-                                      const std::any& request,
-                                      TimeMicros timeout) {
+sim::Future<CallResult> Network::Call(
+    DcId from, DcId to, const std::shared_ptr<const ServiceRequest>& request,
+    TimeMicros timeout) {
   assert(from >= 0 && from < num_datacenters());
   assert(to >= 0 && to < num_datacenters());
   if (timeout <= 0) timeout = options_.default_timeout;
@@ -135,18 +120,53 @@ sim::Future<CallResult> Network::Call(DcId from, DcId to,
       },
       "net/timeout");
 
-  // Request leg.
   ++messages_sent_;
-  if (ShouldDrop(from, to)) {
+  if (ShouldDrop(&rng_, from, to)) {
     ++messages_dropped_;
     return promise.GetFuture();
   }
-  const TimeMicros request_delay =
-      SampleDelay(from, to) + MaybeReorderExtra(from, to);
-  const uint64_t request_epoch = ChannelEpoch(from, to);
+  const TimeMicros delay =
+      SampleDelay(&rng_, from, to) + MaybeReorderExtra(from, to);
+  Deliver(from, to, delay, /*duplicate=*/false, request, promise);
+
+  // Duplicate-delivery fault: with probability duplicate_probability (fault
+  // stream), the request also arrives a second time, a little behind the
+  // original. The destination handler runs twice — exactly the re-delivered
+  // prepare/decide/apply the 2PC records must tolerate. The copy is a
+  // message of its own: counted, lossy, and epoch-checked like any other
+  // (sent at the same instant, it captures the original's channel epoch, so
+  // it still respects outage windows and heal gaps). Every random draw for
+  // it comes from the fault stream.
+  if (options_.duplicate_probability > 0 && from != to) {
+    if (sim::race::Active()) {
+      sim::race::Record(sim::race::AccessKind::kWrite, {"net/fault-rng"});
+    }
+    if (fault_rng_.Bernoulli(options_.duplicate_probability)) {
+      ++messages_sent_;
+      ++messages_duplicated_;
+      if (ShouldDrop(&fault_rng_, from, to)) {
+        ++messages_dropped_;
+      } else {
+        const TimeMicros max_lag =
+            std::max<TimeMicros>(options_.reorder_extra_max, 1);
+        const TimeMicros lag = 1 + static_cast<TimeMicros>(fault_rng_.Uniform(
+                                       static_cast<uint64_t>(max_lag)));
+        Deliver(from, to, delay + lag, /*duplicate=*/true, request, promise);
+      }
+    }
+  }
+  return promise.GetFuture();
+}
+
+void Network::Deliver(DcId from, DcId to, TimeMicros delay, bool duplicate,
+                      const std::shared_ptr<const ServiceRequest>& request,
+                      const sim::Promise<CallResult>& promise) {
+  const uint64_t epoch = ChannelEpoch(from, to);
   sim_->ScheduleAfter(
-      request_delay,
-      [this, from, to, promise, request_epoch, request = request]() mutable {
+      delay,
+      [this, from, to, epoch,
+       delivery = std::make_unique<Delivery>(
+           Delivery{from, to, duplicate, request, promise})]() mutable {
         // Delivery-time check: drop if the destination is down, or if it
         // (or the link traversed) went down at any point while the message
         // was in flight — a heal before arrival does not resurrect it.
@@ -157,185 +177,71 @@ sim::Future<CallResult> Network::Call(DcId from, DcId to,
           sim::race::Record(sim::race::AccessKind::kRead,
                             {"net", "endpoint", to});
         }
-        if (dc_down_[to] || ChannelEpoch(from, to) != request_epoch) {
+        if (dc_down_[to] || ChannelEpoch(from, to) != epoch || !handlers_[to]) {
           ++messages_dropped_;
           return;
         }
-        if (!handlers_[to]) {
-          ++messages_dropped_;
-          return;
-        }
-        auto* context = new HandlerContext;
-        context->handler = handlers_[to];
-        context->from = from;
-        context->request = std::move(request);
-        context->done = [this, from, to, promise](std::any response) {
-                     // Response leg.
-                     ++messages_sent_;
-                     if (ShouldDrop(to, from)) {
-                       ++messages_dropped_;
-                       return;
-                     }
-                     const TimeMicros response_delay =
-                         SampleDelay(to, from) + MaybeReorderExtra(to, from);
-                     const uint64_t response_epoch = ChannelEpoch(to, from);
-                     sim_->ScheduleAfter(
-                         response_delay,
-                         [this, from, to, promise, response_epoch,
-                          response = std::move(response)]() mutable {
-                           if (sim::race::Active()) {
-                             sim::race::Record(sim::race::AccessKind::kRead,
-                                               {"net", "dc", from});
-                             sim::race::Record(sim::race::AccessKind::kRead,
-                                               {"net", "link", to, from});
-                           }
-                           if (dc_down_[from] ||
-                               ChannelEpoch(to, from) != response_epoch) {
-                             ++messages_dropped_;
-                             return;
-                           }
-                           promise.Set(CallResult{Status::OK(),
-                                                  std::move(response)});
-                         },
-                         "net/response-leg");
-        };
-        RunHandler(context);
+        Serve(delivery.release());  // eager: the handler starts right here
       },
-      "net/request-leg");
-
-  // Duplicate-delivery fault: with probability duplicate_probability (fault
-  // stream), the request also arrives a second time, a little behind the
-  // original. The destination handler runs twice — exactly the re-delivered
-  // prepare/decide/apply the 2PC records must tolerate.
-  if (options_.duplicate_probability > 0 && from != to) {
-    if (sim::race::Active()) {
-      sim::race::Record(sim::race::AccessKind::kWrite, {"net/fault-rng"});
-    }
-    if (fault_rng_.Bernoulli(options_.duplicate_probability)) {
-      ScheduleDuplicateRequest(from, to, request_delay, request_epoch, request,
-                               promise);
-    }
-  }
-  return promise.GetFuture();
+      duplicate ? "net/dup-request" : "net/request-leg");
 }
 
-void Network::ScheduleDuplicateRequest(DcId from, DcId to,
-                                       TimeMicros original_delay,
-                                       uint64_t request_epoch,
-                                       const std::any& request,
-                                       sim::Promise<CallResult> promise) {
-  // The copy is a message of its own: counted, lossy, and epoch-checked like
-  // any other — it captured the same send-time epoch as the original, so it
-  // still respects outage windows and heal gaps. Every random draw on either
-  // of its legs comes from the fault stream, leaving the schedule of all
-  // non-duplicated traffic untouched.
+sim::Task Network::Serve(Delivery* raw_delivery) {
+  const std::unique_ptr<Delivery> delivery(raw_delivery);
+  const DcId from = delivery->from;
+  const DcId to = delivery->to;
+  ServiceResponse response =
+      co_await handlers_[to](from, delivery->request.get());
+
+  // Response leg. A duplicate's second response is invisible client-side
+  // (sim::Promise is first-set-wins), but it still costs a message and can
+  // be lost.
+  Rng* rng = delivery->duplicate ? &fault_rng_ : &rng_;
   ++messages_sent_;
-  ++messages_duplicated_;
-  if (ShouldDropFrom(&fault_rng_, from, to)) {
+  if (ShouldDrop(rng, to, from)) {
     ++messages_dropped_;
-    return;
+    co_return;
   }
-  const TimeMicros max_lag =
-      std::max<TimeMicros>(options_.reorder_extra_max, 1);
   const TimeMicros delay =
-      original_delay + 1 +
-      static_cast<TimeMicros>(fault_rng_.Uniform(static_cast<uint64_t>(max_lag)));
+      SampleDelay(rng, to, from) +
+      (delivery->duplicate ? 0 : MaybeReorderExtra(to, from));
+  const uint64_t epoch = ChannelEpoch(to, from);
   sim_->ScheduleAfter(
       delay,
-      [this, from, to, promise, request_epoch, request = request]() mutable {
-    if (sim::race::Active()) {
-      sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", to});
-      sim::race::Record(sim::race::AccessKind::kRead,
-                        {"net", "link", from, to});
-      sim::race::Record(sim::race::AccessKind::kRead, {"net", "endpoint", to});
-    }
-    if (dc_down_[to] || ChannelEpoch(from, to) != request_epoch) {
-      ++messages_dropped_;
-      return;
-    }
-    if (!handlers_[to]) {
-      ++messages_dropped_;
-      return;
-    }
-    auto* context = new HandlerContext;
-    context->handler = handlers_[to];
-    context->from = from;
-    context->request = std::move(request);
-    context->done = [this, from, to, promise](std::any response) {
-      // Response leg of the copy. Client-side a second response is invisible
-      // anyway (sim::Promise is first-set-wins), but it still costs a
-      // message and can be lost.
-      ++messages_sent_;
-      if (ShouldDropFrom(&fault_rng_, to, from)) {
-        ++messages_dropped_;
-        return;
-      }
-      const TimeMicros response_delay = SampleDelayFrom(&fault_rng_, to, from);
-      const uint64_t response_epoch = ChannelEpoch(to, from);
-      sim_->ScheduleAfter(
-          response_delay,
-          [this, from, to, promise, response_epoch,
-           response = std::move(response)]() mutable {
-            if (sim::race::Active()) {
-              sim::race::Record(sim::race::AccessKind::kRead,
-                                {"net", "dc", from});
-              sim::race::Record(sim::race::AccessKind::kRead,
-                                {"net", "link", to, from});
-            }
-            if (dc_down_[from] || ChannelEpoch(to, from) != response_epoch) {
-              ++messages_dropped_;
-              return;
-            }
-            promise.Set(CallResult{Status::OK(), std::move(response)});
-          },
-          "net/dup-response");
-    };
-    RunHandler(context);
-  },
-      "net/dup-request");
+      [this, from, to, epoch, promise = std::move(delivery->promise),
+       response = std::move(response)]() mutable {
+        if (sim::race::Active()) {
+          sim::race::Record(sim::race::AccessKind::kRead, {"net", "dc", from});
+          sim::race::Record(sim::race::AccessKind::kRead,
+                            {"net", "link", to, from});
+        }
+        if (dc_down_[from] || ChannelEpoch(to, from) != epoch) {
+          ++messages_dropped_;
+          return;
+        }
+        promise.Set(CallResult{Status::OK(), std::move(response)});
+      },
+      delivery->duplicate ? "net/dup-response" : "net/response-leg");
 }
 
 sim::Future<BroadcastResult> Network::Broadcast(
-    DcId from, const std::vector<DcId>& targets, const std::any& request,
-    const BroadcastOptions& options) {
+    DcId from, const std::vector<DcId>& targets,
+    const std::shared_ptr<const ServiceRequest>& request, TimeMicros timeout) {
   sim::Promise<BroadcastResult> promise(sim_);
-  auto agg = std::make_shared<BroadcastAggregator>();
-  const int n = static_cast<int>(targets.size());
-  agg->results.resize(n);
-  for (int i = 0; i < n; ++i) {
-    agg->results[i].dc = targets[i];
-    agg->results[i].status = Status::Unavailable("no response collected");
-  }
-  if (n == 0) {
+  if (targets.empty()) {
     promise.Set(BroadcastResult{});
     return promise.GetFuture();
   }
-
-  auto finish = [promise, agg] { promise.Set(agg->results); };
-
-  for (int i = 0; i < n; ++i) {
-    Call(from, targets[i], request, options.timeout)
-        .OnReady([this, i, n, agg, finish, options,
-                  promise](CallResult&& result) {
-          if (promise.IsSet()) return;  // already resolved (quorum early)
-          agg->results[i].status = result.status;
+  auto agg = std::make_shared<BroadcastAggregator>();
+  agg->results.resize(targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    agg->results[i].dc = targets[i];
+    Call(from, targets[i], request, timeout)
+        .OnReady([i, agg, promise](CallResult&& result) {
+          agg->results[i].status = std::move(result.status);
           agg->results[i].response = std::move(result.response);
-          agg->resolved++;
-          if (result.status.ok()) agg->successes++;
-
-          if (agg->resolved == n) {
-            finish();
-            return;
-          }
-          if (options.policy == WaitPolicy::kQuorumEarly &&
-              agg->successes >= options.quorum && !agg->grace_scheduled) {
-            agg->grace_scheduled = true;
-            if (options.grace <= 0) {
-              finish();
-            } else {
-              sim_->ScheduleAfter(options.grace, finish,
-                                  "net/broadcast-grace");
-            }
+          if (++agg->resolved == agg->results.size()) {
+            promise.Set(std::move(agg->results));
           }
         });
   }

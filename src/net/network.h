@@ -6,7 +6,6 @@
 // the message arrives before a known timeout or it is lost").
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -17,42 +16,39 @@
 #include "common/types.h"
 #include "sim/coro.h"
 #include "sim/simulator.h"
+#include "txn/messages.h"
 
 namespace paxoscp::net {
 
+using txn::ServiceRequest;
+using txn::ServiceResponse;
+
 /// Outcome of a single RPC.
 struct CallResult {
-  Status status;       // OK, TimedOut, or Unavailable
-  std::any response;   // valid iff status.ok()
+  Status status;             // OK, TimedOut, or Unavailable
+  ServiceResponse response;  // valid iff status.ok()
 };
 
 /// Outcome of one target within a Broadcast.
 struct TargetResult {
   DcId dc = kNoDc;
   Status status;
-  std::any response;
+  ServiceResponse response;
 };
 using BroadcastResult = std::vector<TargetResult>;
 
 /// A service endpoint: receives a request (with the caller's DcId) and
 /// produces a response, possibly suspending (e.g. to learn a log entry).
-/// The request is passed by pointer — it is owned by the network layer and
+/// The request is passed by pointer — it is owned by the delivery and
 /// outlives the handler coroutine. (Coroutine parameters must be trivially
-/// destructible on this toolchain; see sim/coro.h.)
+/// destructible on this toolchain; see sim/coro.h.) The handler is invoked
+/// in place, and RegisterEndpoint may replace it while a returned coroutine
+/// is suspended (a service restart), so that coroutine must not live in the
+/// handler object itself: forward to a member coroutine, as the cluster
+/// does.
 using ServiceHandler =
-    std::function<sim::Coro<std::any>(DcId from, const std::any* request)>;
-
-/// How long to wait for broadcast responses.
-enum class WaitPolicy {
-  /// Wait until every target either responded or timed out (paper default:
-  /// the client keeps collecting votes until the timeout window closes, so
-  /// in practice it sees "more than a simple majority" of responses, §5).
-  kAll,
-  /// Resume as soon as `quorum` successful responses arrived (plus an
-  /// optional grace period); stragglers are marked Unavailable. Used by the
-  /// wait-policy ablation.
-  kQuorumEarly,
-};
+    std::function<sim::Coro<ServiceResponse>(DcId from,
+                                             const ServiceRequest* request)>;
 
 struct NetworkOptions {
   /// Probability that any single one-way message is silently dropped.
@@ -84,13 +80,6 @@ struct NetworkOptions {
   TimeMicros reorder_extra_max = 200 * kMillisecond;
 };
 
-struct BroadcastOptions {
-  WaitPolicy policy = WaitPolicy::kAll;
-  int quorum = 0;                 // used by kQuorumEarly
-  TimeMicros grace = 0;           // extra wait after quorum reached
-  TimeMicros timeout = 0;         // 0 => NetworkOptions::default_timeout
-};
-
 class Network {
  public:
   /// `rtt_matrix[a][b]` is the round-trip time between datacenters a and b
@@ -104,19 +93,24 @@ class Network {
   void RegisterEndpoint(DcId dc, ServiceHandler handler);
 
   /// Sends `request` from `from` to `to`; resolves with the response or
-  /// TimedOut. `timeout` of 0 uses the default (2 s). The request is taken
-  /// by reference and copied internally — callers in coroutines must pass a
-  /// named object, never a temporary inside a co_await expression (see
-  /// sim/coro.h on GCC 12 cross-suspension temporary hazards).
-  sim::Future<CallResult> Call(DcId from, DcId to, const std::any& request,
-                               TimeMicros timeout = 0);
+  /// TimedOut. `timeout` of 0 uses the default (2 s). The request is shared,
+  /// never copied: every leg and duplicate copy holds this pointer. Callers
+  /// in coroutines must pass a named object, never a temporary inside a
+  /// co_await expression (see sim/coro.h on GCC 12 cross-suspension
+  /// temporary hazards).
+  sim::Future<CallResult> Call(
+      DcId from, DcId to, const std::shared_ptr<const ServiceRequest>& request,
+      TimeMicros timeout = 0);
 
-  /// Sends `request` to every target in parallel and gathers the results
-  /// according to the wait policy. The result vector is ordered as `targets`.
-  sim::Future<BroadcastResult> Broadcast(DcId from,
-                                         const std::vector<DcId>& targets,
-                                         const std::any& request,
-                                         const BroadcastOptions& options);
+  /// Sends `request` to every target in parallel and resolves once every
+  /// target has responded or timed out — the paper's behaviour: the client
+  /// keeps collecting votes until the timeout window closes, so in practice
+  /// it sees "more than a simple majority" of responses (§5). All targets
+  /// share the one request. The result vector is ordered as `targets`.
+  sim::Future<BroadcastResult> Broadcast(
+      DcId from, const std::vector<DcId>& targets,
+      const std::shared_ptr<const ServiceRequest>& request,
+      TimeMicros timeout = 0);
 
   // -- Fault injection ------------------------------------------------------
   //
@@ -170,27 +164,31 @@ class Network {
  private:
   /// Samples the one-way delay from `from` to `to` using `rng` (the main
   /// jitter stream for regular legs, the fault stream for duplicate copies).
-  TimeMicros SampleDelayFrom(Rng* rng, DcId from, DcId to);
-  /// Samples the one-way delay from `from` to `to`.
-  TimeMicros SampleDelay(DcId from, DcId to) {
-    return SampleDelayFrom(&rng_, from, to);
-  }
+  TimeMicros SampleDelay(Rng* rng, DcId from, DcId to);
   /// True if the message should be dropped (loss, outage, severed link),
   /// drawing the loss decision from `rng`.
-  bool ShouldDropFrom(Rng* rng, DcId from, DcId to);
-  /// True if the message should be dropped (loss, outage, severed link).
-  bool ShouldDrop(DcId from, DcId to) { return ShouldDropFrom(&rng_, from, to); }
+  bool ShouldDrop(Rng* rng, DcId from, DcId to);
   /// Extra reorder delay for one leg: 0 unless a reorder fault is active, in
   /// which case a Bernoulli(reorder_probability) draw from the fault stream
   /// holds the message back by U(1, reorder_extra_max). Never touches rng_.
   TimeMicros MaybeReorderExtra(DcId from, DcId to);
-  /// Schedules the independent second delivery of a duplicated request. All
-  /// of its randomness (lag behind the original, loss on both legs, response
-  /// delay) comes from the fault stream so the original's schedule — and
-  /// every other message's — is unchanged.
-  void ScheduleDuplicateRequest(DcId from, DcId to, TimeMicros original_delay,
-                                uint64_t request_epoch, const std::any& request,
-                                sim::Promise<CallResult> promise);
+
+  /// One copy of a request from its arrival onwards; owned by its
+  /// request-leg event, then by the handler coroutine.
+  struct Delivery;
+  /// The delivery leg shared by an original request and its duplicate:
+  /// delivers `request` at `to` after `delay` (unless the channel failed in
+  /// flight), runs the handler, and sends the response leg back into
+  /// `promise`. The two kinds of copy differ only in the response leg's
+  /// randomness — a duplicate draws from the fault stream with no reorder,
+  /// so the schedule of all other traffic is unchanged — and in their
+  /// event tags.
+  void Deliver(DcId from, DcId to, TimeMicros delay, bool duplicate,
+               const std::shared_ptr<const ServiceRequest>& request,
+               const sim::Promise<CallResult>& promise);
+  /// Runs the destination's handler on a delivered copy, then sends its
+  /// response leg. Takes ownership of `delivery`.
+  sim::Task Serve(Delivery* delivery);
   /// Outage epoch of the `from` -> `to` channel. Captured when a message is
   /// sent; if it changed by delivery time the message crossed a fault window
   /// and is lost (see the in-flight semantics note above).

@@ -86,8 +86,10 @@ class [[nodiscard]] Coro {
 
   struct promise_type {
     // Explicitly declared so the promise is not an aggregate: otherwise GCC
-    // tries to aggregate-initialize it from the coroutine's parameters,
-    // which explodes when T is std::any (constructible from anything).
+    // 12 aggregate-initializes it from the coroutine's parameters, so a
+    // Coro<std::string> taking a std::string starts with `value` already
+    // holding its first argument (and parameters that do not convert fail
+    // to compile).
     promise_type() = default;
 
     std::optional<T> value;

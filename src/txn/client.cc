@@ -36,14 +36,13 @@ void TransactionClient::ReleaseGroup(const std::string& group) {
 }
 
 sim::Coro<net::CallResult> TransactionClient::CallWithFailover(
-    const ServiceRequest* request) {
+    const std::shared_ptr<const ServiceRequest>* request) {
   // Home datacenter first (the paper's locality optimization), then every
   // other Transaction Service until one answers.
   net::CallResult last{Status::Unavailable("no datacenters"), {}};
   for (int attempt = 0; attempt < network_->num_datacenters(); ++attempt) {
     const DcId target = (home_ + attempt) % network_->num_datacenters();
-    const std::any payload(*request);
-    last = co_await network_->Call(home_, target, payload,
+    last = co_await network_->Call(home_, target, *request,
                                    options_.rpc_timeout);
     if (last.status.ok()) co_return last;
   }
@@ -51,14 +50,9 @@ sim::Coro<net::CallResult> TransactionClient::CallWithFailover(
 }
 
 sim::Coro<net::BroadcastResult> TransactionClient::BroadcastToAll(
-    const ServiceRequest* request) {
-  net::BroadcastOptions bopts;
-  bopts.policy = options_.wait_policy;
-  bopts.quorum = majority_;
-  bopts.grace = options_.quorum_grace;
-  bopts.timeout = options_.rpc_timeout;
-  const std::any payload(*request);
-  co_return co_await network_->Broadcast(home_, all_dcs_, payload, bopts);
+    const std::shared_ptr<const ServiceRequest>* request) {
+  co_return co_await network_->Broadcast(home_, all_dcs_, *request,
+                                         options_.rpc_timeout);
 }
 
 sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
@@ -67,14 +61,14 @@ sim::Coro<Txn> TransactionClient::BeginTxn(std::string group) {
         "client already has an active transaction on group '" + group + "'"));
   }
   active_groups_.insert(group);
-  ServiceRequest begin_request = BeginRequest{group};
+  const auto begin_request =
+      std::make_shared<const ServiceRequest>(BeginRequest{group});
   net::CallResult result = co_await CallWithFailover(&begin_request);
   if (!result.status.ok()) {
     active_groups_.erase(group);
     co_return Txn(result.status);
   }
-  const auto& response = std::any_cast<const ServiceResponse&>(result.response);
-  const auto& begin = std::get<BeginResponse>(response);
+  const auto& begin = std::get<BeginResponse>(result.response);
 
   auto state = std::make_unique<TxnState>();
   state->txn.group = std::move(group);
@@ -100,12 +94,11 @@ sim::Coro<Result<std::string>> TransactionClient::ReadItem(
     co_return cached->second;
   }
 
-  ServiceRequest read_request =
-      ReadRequest{state->txn.group, item, state->txn.read_pos};
+  const auto read_request = std::make_shared<const ServiceRequest>(
+      ReadRequest{state->txn.group, item, state->txn.read_pos});
   net::CallResult result = co_await CallWithFailover(&read_request);
   if (!result.status.ok()) co_return result.status;
-  const auto& response = std::any_cast<const ServiceResponse&>(result.response);
-  const auto& read = std::get<ReadResponse>(response);
+  const auto& read = std::get<ReadResponse>(result.response);
   if (!read.status.ok()) co_return read.status;
 
   // Record the read (with observed provenance) in the read set.
@@ -119,12 +112,11 @@ sim::Coro<Result<std::string>> TransactionClient::ReadItem(
 
 sim::Coro<Result<kvstore::AttributeMap>> TransactionClient::ReadRowItems(
     TxnState* state, std::string row) {
-  ServiceRequest read_request =
-      ReadRowRequest{state->txn.group, row, state->txn.read_pos};
+  const auto read_request = std::make_shared<const ServiceRequest>(
+      ReadRowRequest{state->txn.group, row, state->txn.read_pos});
   net::CallResult result = co_await CallWithFailover(&read_request);
   if (!result.status.ok()) co_return result.status;
-  const auto& response = std::any_cast<const ServiceResponse&>(result.response);
-  const auto& read = std::get<ReadRowResponse>(response);
+  const auto& read = std::get<ReadRowResponse>(result.response);
   if (!read.status.ok()) co_return read.status;
 
   kvstore::AttributeMap out;
@@ -241,13 +233,14 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
                                   const wal::LogEntry* proposal, TxnId own_id,
                                   wal::RecordKind own_kind,
                                   paxos::Ballot* max_seen) {
-  ServiceRequest accept_request = AcceptRequest{group, pos, ballot, *proposal};
+  const auto accept_request = std::make_shared<const ServiceRequest>(
+      AcceptRequest{group, pos, ballot, *proposal});
   net::BroadcastResult aresults = co_await BroadcastToAll(&accept_request);
   int accepted = 0;
   for (net::TargetResult& tr : aresults) {
     if (!tr.status.ok()) continue;
-    const auto& response = std::any_cast<const ServiceResponse&>(tr.response);
-    const paxos::AcceptResult& ar = std::get<AcceptResponse>(response).result;
+    const paxos::AcceptResult& ar =
+        std::get<AcceptResponse>(tr.response).result;
     if (ar.accepted) {
       ++accepted;
     } else {
@@ -258,12 +251,9 @@ TransactionClient::AcceptAndApply(std::string group, LogPos pos,
 
   // Decided. Send apply to every replica (Step 5; fire-and-forget — the
   // client does not need the acknowledgements to report its outcome).
-  net::BroadcastOptions bopts;
-  bopts.timeout = options_.rpc_timeout;
-  network_->Broadcast(home_, all_dcs_,
-                      std::any(ServiceRequest(
-                          ApplyRequest{group, pos, ballot, *proposal})),
-                      bopts);
+  const auto apply_request = std::make_shared<const ServiceRequest>(
+      ApplyRequest{group, pos, ballot, *proposal});
+  network_->Broadcast(home_, all_dcs_, apply_request, options_.rpc_timeout);
   InstanceOutcome outcome;
   outcome.kind = proposal->ContainsRecord(own_id, own_kind)
                      ? InstanceOutcome::Kind::kWon
@@ -290,15 +280,13 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     // the canonical bootstrap leader, never to home_, to preserve the
     // uniqueness of round-0 grants.
     const DcId leader = leader_dc == kNoDc ? 0 : leader_dc;
-    const std::any claim_payload(
-        ServiceRequest(ClaimLeaderRequest{group, pos}));
+    const auto claim_request = std::make_shared<const ServiceRequest>(
+        ClaimLeaderRequest{group, pos});
     net::CallResult claim = co_await network_->Call(home_, leader,
-                                                    claim_payload,
+                                                    claim_request,
                                                     options_.rpc_timeout);
     if (claim.status.ok()) {
-      const auto& response =
-          std::any_cast<const ServiceResponse&>(claim.response);
-      if (std::get<ClaimLeaderResponse>(response).granted) {
+      if (std::get<ClaimLeaderResponse>(claim.response).granted) {
         std::optional<InstanceOutcome> outcome = co_await AcceptAndApply(
             group, pos, paxos::Ballot{0, home_}, own, own_id, own_kind,
             &max_seen);
@@ -316,7 +304,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     const paxos::Ballot ballot = paxos::NextBallot(max_seen, home_);
 
     // Prepare phase (Step 1/2).
-    ServiceRequest prepare_request = PrepareRequest{group, pos, ballot};
+    const auto prepare_request = std::make_shared<const ServiceRequest>(
+        PrepareRequest{group, pos, ballot});
     net::BroadcastResult presults =
         co_await BroadcastToAll(&prepare_request);
     std::vector<paxos::LastVote> votes;
@@ -324,10 +313,8 @@ sim::Coro<TransactionClient::InstanceOutcome> TransactionClient::RunInstance(
     int promised = 0;
     for (net::TargetResult& tr : presults) {
       if (!tr.status.ok()) continue;
-      const auto& response =
-          std::any_cast<const ServiceResponse&>(tr.response);
       const paxos::PrepareResult& pr =
-          std::get<PrepareResponse>(response).result;
+          std::get<PrepareResponse>(tr.response).result;
       if (pr.decided.has_value() && !decided.has_value()) decided = pr.decided;
       max_seen = std::max(max_seen, pr.next_bal);
       if (pr.promised) {

@@ -11,6 +11,7 @@
 // transaction per group per client, paper §2.2) via `active_groups_`.
 #pragma once
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -243,9 +244,14 @@ class TransactionClient {
       paxos::Ballot* max_seen);
 
   /// Calls the home service first, then fails over to the others.
-  sim::Coro<net::CallResult> CallWithFailover(const ServiceRequest* request);
+  /// `request` points at a named object that outlives the call.
+  sim::Coro<net::CallResult> CallWithFailover(
+      const std::shared_ptr<const ServiceRequest>* request);
 
-  sim::Coro<net::BroadcastResult> BroadcastToAll(const ServiceRequest* request);
+  /// Sends `request` to every replica and waits for every response or
+  /// timeout.
+  sim::Coro<net::BroadcastResult> BroadcastToAll(
+      const std::shared_ptr<const ServiceRequest>* request);
 
   TimeMicros RandomBackoff();
 

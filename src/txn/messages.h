@@ -3,8 +3,9 @@
 // path, prepare/accept/apply for the Paxos commit protocol, plus the
 // leader-claim message of the per-log-position leader optimization.
 //
-// Messages travel through net::Network as std::any holding a
-// ServiceRequest / ServiceResponse variant.
+// net::Network carries these variants as they are: a request is built once
+// as a shared, immutable ServiceRequest that every broadcast target and
+// duplicate copy reads, and each response is a ServiceResponse.
 #pragma once
 
 #include <string>

@@ -68,29 +68,28 @@ paxos::Acceptor* TransactionService::GroupAcceptor(const std::string& group) {
   return &Group(group)->acceptor;
 }
 
-sim::Coro<std::any> TransactionService::Handle(DcId from,
-                                               const std::any* request) {
+sim::Coro<ServiceResponse> TransactionService::Handle(
+    DcId from, const ServiceRequest* request) {
   (void)from;
-  const ServiceRequest& req = std::any_cast<const ServiceRequest&>(*request);
   ServiceResponse response;
-  if (const auto* begin = std::get_if<BeginRequest>(&req)) {
+  if (const auto* begin = std::get_if<BeginRequest>(request)) {
     response = co_await HandleBegin(begin);
-  } else if (const auto* read = std::get_if<ReadRequest>(&req)) {
+  } else if (const auto* read = std::get_if<ReadRequest>(request)) {
     response = co_await HandleRead(read);
-  } else if (const auto* read_row = std::get_if<ReadRowRequest>(&req)) {
+  } else if (const auto* read_row = std::get_if<ReadRowRequest>(request)) {
     response = co_await HandleReadRow(read_row);
-  } else if (const auto* prepare = std::get_if<PrepareRequest>(&req)) {
+  } else if (const auto* prepare = std::get_if<PrepareRequest>(request)) {
     response = co_await HandlePrepare(prepare);
-  } else if (const auto* accept = std::get_if<AcceptRequest>(&req)) {
+  } else if (const auto* accept = std::get_if<AcceptRequest>(request)) {
     response = co_await HandleAccept(accept);
-  } else if (const auto* apply = std::get_if<ApplyRequest>(&req)) {
+  } else if (const auto* apply = std::get_if<ApplyRequest>(request)) {
     response = co_await HandleApply(apply);
-  } else if (const auto* claim = std::get_if<ClaimLeaderRequest>(&req)) {
+  } else if (const auto* claim = std::get_if<ClaimLeaderRequest>(request)) {
     response = co_await HandleClaimLeader(claim);
-  } else if (const auto* query = std::get_if<QueryCrossRequest>(&req)) {
+  } else if (const auto* query = std::get_if<QueryCrossRequest>(request)) {
     response = co_await HandleQueryCross(query);
   }
-  co_return std::any(std::move(response));
+  co_return response;
 }
 
 sim::Coro<ServiceResponse> TransactionService::HandleBegin(
@@ -519,15 +518,14 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
 
   paxos::Ballot ballot =
       paxos::NextBallot(gs->acceptor.ReadState(pos).next_bal, dc_);
-  net::BroadcastOptions bopts;  // wait for all (or per-call timeout)
 
   for (int attempt = 0; attempt < kMaxLearnAttempts; ++attempt) {
     if (gs->log.HasEntry(pos)) co_return Status::OK();  // learned meanwhile
     // Prepare phase: discover the decided value or the highest vote.
-    const std::any prepare_payload(
-        ServiceRequest(PrepareRequest{group, pos, ballot}));
+    const auto prepare_request = std::make_shared<const ServiceRequest>(
+        PrepareRequest{group, pos, ballot});
     net::BroadcastResult presults =
-        co_await network_->Broadcast(dc_, all, prepare_payload, bopts);
+        co_await network_->Broadcast(dc_, all, prepare_request);
 
     std::vector<paxos::LastVote> votes;
     std::optional<wal::LogEntry> decided;
@@ -535,9 +533,8 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
     int promised = 0;
     for (net::TargetResult& tr : presults) {
       if (!tr.status.ok()) continue;
-      const auto& resp = std::any_cast<const ServiceResponse&>(tr.response);
       const paxos::PrepareResult& pr =
-          std::get<PrepareResponse>(resp).result;
+          std::get<PrepareResponse>(tr.response).result;
       if (pr.decided.has_value() && !decided.has_value()) {
         decided = pr.decided;
       }
@@ -562,15 +559,15 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
         co_return Status::NotFound("log position " + std::to_string(pos) +
                                    " is undecided");
       }
-      const std::any accept_payload(
-          ServiceRequest(AcceptRequest{group, pos, ballot, *winning}));
+      const auto accept_request = std::make_shared<const ServiceRequest>(
+          AcceptRequest{group, pos, ballot, *winning});
       net::BroadcastResult aresults =
-          co_await network_->Broadcast(dc_, all, accept_payload, bopts);
+          co_await network_->Broadcast(dc_, all, accept_request);
       int accepted = 0;
       for (net::TargetResult& tr : aresults) {
         if (!tr.status.ok()) continue;
-        const auto& resp = std::any_cast<const ServiceResponse&>(tr.response);
-        const paxos::AcceptResult& ar = std::get<AcceptResponse>(resp).result;
+        const paxos::AcceptResult& ar =
+            std::get<AcceptResponse>(tr.response).result;
         if (ar.accepted) {
           ++accepted;
         } else {
@@ -579,8 +576,9 @@ sim::Coro<Status> TransactionService::LearnEntry(std::string group,
       }
       if (accepted >= majority) {
         // Decided: propagate the outcome (fire-and-forget) and record it.
-        ServiceRequest apply = ApplyRequest{group, pos, ballot, *winning};
-        network_->Broadcast(dc_, all, std::any(apply), bopts);
+        const auto apply_request = std::make_shared<const ServiceRequest>(
+            ApplyRequest{group, pos, ballot, *winning});
+        network_->Broadcast(dc_, all, apply_request);
         Status applied = gs->acceptor.OnApply(pos, ballot, *winning);
         if (applied.ok()) NoteEntryLanded(group);
         co_return applied;

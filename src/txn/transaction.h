@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "common/types.h"
-#include "net/network.h"
 #include "paxos/value_selection.h"
 #include "wal/log_entry.h"
 
@@ -82,9 +81,6 @@ struct ClientOptions {
   /// the paper's prototype.
   bool leader_optimization = true;
   paxos::CombinePolicy combine;
-  /// How long to wait for prepare/accept responses.
-  net::WaitPolicy wait_policy = net::WaitPolicy::kAll;
-  TimeMicros quorum_grace = 0;  // for WaitPolicy::kQuorumEarly
   /// Safety valve: give up with Unavailable after this many prepare rounds
   /// for a single log position.
   int max_rounds_per_position = 32;

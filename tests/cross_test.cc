@@ -9,6 +9,7 @@
 // BeginCross / RunTransaction(groups, ...) API.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -922,8 +923,8 @@ TEST(CrossIdempotenceTest, RedeliveredApplyBroadcastsAreNoOps) {
       for (DcId dc = 0; dc < db.num_datacenters(); ++dc) {
         db.cluster()->network()->Call(
             1, dc,
-            std::any(txn::ServiceRequest(
-                txn::ApplyRequest{group, pos, paxos::Ballot(), *entry})));
+            std::make_shared<const txn::ServiceRequest>(
+                txn::ApplyRequest{group, pos, paxos::Ballot(), *entry}));
         ++redelivered;
       }
     }
